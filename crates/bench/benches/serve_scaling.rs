@@ -14,6 +14,12 @@
 //! single-core host, where every shard count measures the same serial
 //! machine and a "regression" would be pure scheduler noise.
 //!
+//! The `fleet_telemetry_off` / `fleet_telemetry_on` pair prices live
+//! instrumentation on the frame path: the same lossless 2-shard fleet
+//! with every fleet and session instrument inert, then live. The
+//! printed overhead percentage is the number the <5% instrumentation
+//! budget applies to; it is not written to the JSON.
+//!
 //! Set `SAFECROSS_BENCH_QUICK=1` to run a reduced sweep (CI smoke:
 //! 1 000-stream soak instead of 10 000).
 
@@ -115,6 +121,76 @@ fn run_once(
                 .collect(),
         )
         .expect("bench run succeeds")
+}
+
+/// A lossless 2-shard fleet config with telemetry live or inert on both
+/// the fleet registry and every session's.
+fn telemetry_config(telemetry: bool) -> ServeConfig {
+    ServeConfig::builder()
+        .shards(2)
+        .shedding(false)
+        .telemetry(telemetry)
+        .stream(SafeCrossConfig {
+            telemetry,
+            ..SafeCrossConfig::default()
+        })
+        .build()
+        .expect("valid serve config")
+}
+
+fn median(mut samples: Vec<f64>) -> f64 {
+    samples.sort_by(|a, b| a.partial_cmp(b).expect("wall times are finite"));
+    samples[samples.len() / 2]
+}
+
+/// Prints the instrumentation tax on the fleet frame path: median run
+/// wall time with telemetry on over off, from alternating pairs of runs
+/// on the rendered clips, then samples both arms through criterion.
+fn telemetry_overhead(
+    c: &mut Criterion,
+    models: &[(Weather, SlowFastLite)],
+    clips: &[Vec<GrayFrame>],
+) {
+    let streams = if quick() { 2 } else { MAX_STREAMS };
+    let pairs = if quick() { 5 } else { 9 };
+    let wall_ms = |telemetry: bool| {
+        run_once(telemetry_config(telemetry), models, clips, streams)
+            .wall
+            .as_secs_f64()
+            * 1e3
+    };
+    // One untimed run per arm first, so lazy set-up and cold caches
+    // land on neither side.
+    wall_ms(false);
+    wall_ms(true);
+    let (mut off, mut on) = (Vec::new(), Vec::new());
+    for pair in 0..pairs {
+        // Alternate which arm runs first so drift favours neither.
+        if pair % 2 == 0 {
+            off.push(wall_ms(false));
+            on.push(wall_ms(true));
+        } else {
+            on.push(wall_ms(true));
+            off.push(wall_ms(false));
+        }
+    }
+    let (off, on) = (median(off), median(on));
+    println!(
+        "\n=== fleet telemetry overhead ({streams} streams x {} frames, 2 shards, lossless) ===\n\
+         median wall over {pairs} alternating pairs: off {off:.2} ms, on {on:.2} ms, \
+         overhead {:+.1}% (budget < 5%)",
+        frames_per_stream(),
+        (on / off - 1.0) * 100.0
+    );
+
+    let mut group = c.benchmark_group("fleet_telemetry");
+    group.sample_size(3);
+    for (name, telemetry) in [("fleet_telemetry_off", false), ("fleet_telemetry_on", true)] {
+        group.bench_function(name, |b| {
+            b.iter(|| run_once(telemetry_config(telemetry), models, clips, streams).completed)
+        });
+    }
+    group.finish();
 }
 
 // ---------------------------------------------------------------------
@@ -406,6 +482,7 @@ fn serve_scaling(c: &mut Criterion) {
     }
 
     write_bench_json(&records);
+    telemetry_overhead(c, &models, &clips);
 
     // Shard-scaling sanity check — ONLY meaningful with real cores.
     // On a single-core host every shard count runs the same serial

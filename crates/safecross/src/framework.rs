@@ -4,11 +4,14 @@
 //! plus model switching ([`SceneStage`]), VP preprocessing plus segment
 //! assembly ([`VpStage`]), and clip classification ([`ClassifyStage`]).
 //! [`SafeCross::process_frame`] drives them back-to-back on the calling
-//! thread; [`SafeCross::run_pipelined`](crate::pipeline) drives the very
-//! same stage code on overlapping worker threads. Because both paths
-//! execute identical stage transitions in identical frame order, their
-//! outputs are bit-identical — the property `tests/pipeline_equivalence.rs`
-//! locks in.
+//! thread. A serving layer splits the same path in two:
+//! [`SafeCross::prepare_frame`] runs scene detection and VP, the caller
+//! classifies the clip (batched with other streams' clips), and
+//! [`SafeCross::complete_frame`] applies the confidence gate. Both
+//! routes execute identical stage transitions in identical frame order,
+//! so their outputs are bit-identical — the property
+//! `tests/fleet_single_stream.rs` and `tests/serve_equivalence.rs` lock
+//! in against the `safecross-serve` fleet.
 
 use crate::errors::{ConfigError, SafeCrossError};
 use crate::scene::SceneDetector;
@@ -229,8 +232,8 @@ pub const SCENE_TOTAL_FLOPS: f64 = 36.0e9;
 ///
 /// Owns the voting-window detector and the MS runtime. Sequential per
 /// frame (the voting window is stateful), but independent of the VP and
-/// classification state, so it can run on its own pipeline thread.
-pub(crate) struct SceneStage {
+/// classification state.
+struct SceneStage {
     scene: SceneDetector,
     switcher: ModelSwitcher,
     /// Scenes with a registered model, in registration order. The first
@@ -243,8 +246,8 @@ pub(crate) struct SceneStage {
     /// every later switch onto that scene activates the bound name.
     names: HashMap<Weather, Arc<str>>,
     /// Frames this stage has consumed. Owned by the stage (not the
-    /// orchestrator) so the frame index attributed to a switch is the
-    /// same in sequential and pipelined execution.
+    /// orchestrator) so the frame index attributed to a switch depends
+    /// only on the frames the scene detector saw.
     frames: u64,
     frames_total: Counter,
     step_ms: Histogram,
@@ -272,10 +275,7 @@ impl SceneStage {
     /// Consumes one frame: updates the scene vote, performs a model
     /// switch when the vote flips onto a registered scene, and reports
     /// the scene whose model should classify this frame.
-    pub(crate) fn step(
-        &mut self,
-        frame: &GrayFrame,
-    ) -> (Option<(Weather, SwitchReport)>, Option<Weather>) {
+    fn step(&mut self, frame: &GrayFrame) -> (Option<(Weather, SwitchReport)>, Option<Weather>) {
         let _t = self.step_ms.start_timer();
         self.frames_total.inc();
         let frame_index = self.frames;
@@ -324,7 +324,7 @@ impl SceneStage {
 ///
 /// Owns the background-subtraction state and the sliding segment buffer;
 /// emits a full `[1, T, H, W]` clip once the buffer fills.
-pub(crate) struct VpStage {
+struct VpStage {
     vp: Preprocessor,
     buffer: SegmentBuffer,
     step_ms: Histogram,
@@ -343,7 +343,7 @@ impl VpStage {
 
     /// Consumes one frame; returns the assembled clip when the segment
     /// buffer is full.
-    pub(crate) fn step(&mut self, frame: &GrayFrame) -> Option<Tensor> {
+    fn step(&mut self, frame: &GrayFrame) -> Option<Tensor> {
         let _t = self.step_ms.start_timer();
         let grid = self.vp.process(frame);
         self.buffer.push(grid);
@@ -352,12 +352,12 @@ impl VpStage {
 }
 
 /// Stage 3: clip classification with the per-scene models.
-pub(crate) struct ClassifyStage {
-    pub(crate) models: HashMap<Weather, SlowFastLite>,
+struct ClassifyStage {
+    models: HashMap<Weather, SlowFastLite>,
     /// Kernel scratch arena reused across every clip this stage
     /// classifies; after the first few clips the steady-state forward
     /// pass performs no heap allocation at all.
-    pub(crate) scratch: KernelScratch,
+    scratch: KernelScratch,
     min_confidence: f32,
     step_ms: Histogram,
     verdicts_total: Counter,
@@ -374,13 +374,6 @@ impl ClassifyStage {
         }
     }
 
-    /// Classifies a clip with the model for `scene`, gating on the
-    /// configured minimum confidence.
-    pub(crate) fn step(&mut self, clip: Option<Tensor>, scene: Option<Weather>) -> Option<Verdict> {
-        let raw = self.classify(clip.as_ref(), scene);
-        self.accept(raw)
-    }
-
     /// The lookup-and-forward half: classifies a clip with this
     /// session's own model for `scene`, without confidence gating.
     fn classify(&mut self, clip: Option<&Tensor>, scene: Option<Weather>) -> Option<Verdict> {
@@ -393,7 +386,7 @@ impl ClassifyStage {
 
     /// The gating half: applies the minimum-confidence threshold to a
     /// raw verdict (however it was computed) and counts accepted ones.
-    pub(crate) fn accept(&mut self, raw: Option<Verdict>) -> Option<Verdict> {
+    fn accept(&mut self, raw: Option<Verdict>) -> Option<Verdict> {
         let verdict = raw?;
         if verdict.confidence < self.min_confidence {
             return None;
@@ -404,7 +397,7 @@ impl ClassifyStage {
 }
 
 /// The shared classification kernel: every verdict in the system —
-/// sequential, pipelined, batch-parallel, or served — goes through this
+/// sequential, evaluated, or served — goes through this
 /// one function, so the numeric path is identical everywhere. The
 /// verdict is **not** confidence-gated; feed it through
 /// [`SafeCross::complete_frame`] (or compare against
@@ -470,19 +463,19 @@ pub fn top_class_from_logits(row: &[f32], probs: &mut [f32]) -> (usize, f32) {
 /// The deployed SafeCross system: VP -> VC with FL-produced per-scene
 /// models and MS-managed switching.
 pub struct SafeCross {
-    pub(crate) config: SafeCrossConfig,
-    pub(crate) registry: Registry,
+    config: SafeCrossConfig,
+    registry: Registry,
     /// Content-addressed store holding every registered checkpoint's
     /// layer-group blobs. Private to this session unless a serving layer
     /// shares one handle across sessions
     /// ([`SafeCross::share_model_store`]), in which case per-weather
     /// weights are held once for the whole fleet.
-    pub(crate) model_store: ModelRegistry,
-    pub(crate) scene_stage: SceneStage,
-    pub(crate) vp_stage: VpStage,
-    pub(crate) classify_stage: ClassifyStage,
-    pub(crate) verdicts: Vec<Verdict>,
-    pub(crate) frames_seen: usize,
+    model_store: ModelRegistry,
+    scene_stage: SceneStage,
+    vp_stage: VpStage,
+    classify_stage: ClassifyStage,
+    verdicts: Vec<Verdict>,
+    frames_seen: usize,
     /// Strong handle keeping the `nn.gemm.*` telemetry bridge alive in
     /// the kernel layer's observer registry; the registry itself only
     /// holds a `Weak`, so dropping the system unhooks the observer.
@@ -491,27 +484,9 @@ pub struct SafeCross {
 
 impl SafeCross {
     /// Creates a system with no registered models (register at least the
-    /// daytime model before expecting verdicts).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid; use
-    /// [`SafeCross::try_new`] to handle that as a value.
-    #[deprecated(
-        since = "0.1.0",
-        note = "panics on invalid configurations; migrate to `SafeCross::try_new`, \
-                which returns the violated invariant as a `ConfigError` value"
-    )]
-    pub fn new(config: SafeCrossConfig) -> Self {
-        match SafeCross::try_new(config) {
-            Ok(system) => system,
-            Err(e) => panic!("invalid SafeCross configuration: {e}"),
-        }
-    }
-
-    /// Creates a system after validating `config`. When
-    /// `config.telemetry` is set, the system carries a live
-    /// [`Registry`] (see [`SafeCross::telemetry`]); otherwise every
+    /// daytime model before expecting verdicts) after validating
+    /// `config`. When `config.telemetry` is set, the system carries a
+    /// live [`Registry`] (see [`SafeCross::telemetry`]); otherwise every
     /// instrument is inert and costs one branch per use.
     ///
     /// # Errors
@@ -1024,18 +999,6 @@ mod tests {
         };
         assert!(SafeCross::try_new(bad).is_err());
         assert!(SafeCross::try_new(SafeCrossConfig::default()).is_ok());
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid SafeCross configuration")]
-    fn new_panics_on_bad_config() {
-        // The deprecated constructor keeps its panicking contract until
-        // it is removed.
-        #[allow(deprecated)]
-        SafeCross::new(SafeCrossConfig {
-            scene_window: 0,
-            ..SafeCrossConfig::default()
-        });
     }
 
     #[test]

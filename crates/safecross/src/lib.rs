@@ -21,6 +21,13 @@
 //! turn/no-turn verdicts plus scene-switch telemetry; [`throughput`]
 //! reproduces the paper's Sec. V-D left-turn throughput analysis.
 //!
+//! [`SafeCross::process_frame`] is the one sequential frame path and
+//! the reference every other execution mode is pinned to. Concurrent
+//! execution — one camera or ten thousand — is the `safecross-serve`
+//! fleet, which drives the same session through
+//! [`SafeCross::prepare_frame`] / [`SafeCross::complete_frame`] with
+//! classification batched across streams.
+//!
 //! ## Example
 //!
 //! ```
@@ -43,7 +50,6 @@
 mod errors;
 pub mod experiments;
 mod framework;
-pub mod pipeline;
 mod scene;
 pub mod throughput;
 
@@ -55,9 +61,8 @@ pub use framework::{
     classify_with_model, top_class_from_logits, FrameOutcome, FramePrep, SafeCross,
     SafeCrossConfig, SafeCrossConfigBuilder, Verdict, SCENE_TOTAL_FLOPS,
 };
-pub use pipeline::{PipelineConfig, PipelineRun, PipelineStats, StageStats};
 pub use scene::{SceneDetector, SceneFeatures};
-pub use throughput::{throughput_study, throughput_study_parallel, ThroughputReport};
+pub use throughput::{throughput_study, ThroughputReport};
 
 // Re-exports so downstream code can consume the typed switch log and
 // telemetry snapshots without depending on the sub-crates directly.

@@ -12,6 +12,9 @@ use safecross_telemetry::{Counter, Gauge, Histogram, Registry};
 pub(crate) struct FleetMetrics {
     /// Frames accepted into an admission queue (`serve.admitted`).
     pub admitted: Counter,
+    /// Frames refused at admission for not matching their stream's
+    /// frame geometry (`serve.rejected`).
+    pub rejected: Counter,
     /// Frames whose outcome was delivered (`serve.completed`).
     pub completed: Counter,
     /// Frames dropped on admission to a full queue (`serve.shed_overflow`).
@@ -46,6 +49,7 @@ impl FleetMetrics {
     pub(crate) fn new(registry: &Registry) -> Self {
         FleetMetrics {
             admitted: registry.counter("serve.admitted"),
+            rejected: registry.counter("serve.rejected"),
             completed: registry.counter("serve.completed"),
             shed_overflow: registry.counter("serve.shed_overflow"),
             shed_stale: registry.counter("serve.shed_stale"),

@@ -119,7 +119,7 @@ impl std::fmt::Display for FleetReport {
             writeln!(
                 f,
                 "  {:<9} fed {:>6}  completed {:>6}  verdicts {:>5} ({} danger)  \
-                 shed {:>5} ({} overflow, {} stale)  queue peak {:>3}",
+                 shed {:>5} ({} overflow, {} stale)  rejected {:>3}  queue peak {:>3}",
                 s.stream.to_string(),
                 s.stats.fed,
                 s.stats.completed,
@@ -128,6 +128,7 @@ impl std::fmt::Display for FleetReport {
                 s.stats.shed(),
                 s.stats.shed_overflow,
                 s.stats.shed_stale,
+                s.stats.rejected,
                 s.stats.queue_peak,
             )?;
         }
@@ -513,7 +514,9 @@ impl FleetServer {
     /// drained to its complete frame sequence up front
     /// ([`FrameSource::drain`]), then rounds of round-robin over the
     /// streams process each frame fully in line (prepare, classify
-    /// against the shared models, complete). No queues, no shedding,
+    /// against the shared models, complete). Frames that do not match
+    /// their stream's geometry are rejected exactly as in
+    /// [`FleetServer::run`]. No queues, no shedding,
     /// no clock-dependent behavior — each stream's verdict and switch
     /// sequences are bit-identical to a standalone
     /// [`SafeCross::process_frame`] loop over its frames, which is
@@ -545,8 +548,10 @@ impl FleetServer {
             for (i, feed) in feeds.iter().enumerate() {
                 let Some(frame) = feed.get(round) else { continue };
                 let session = &mut sessions[i];
+                if !session.screen(frame, fleet_metrics) {
+                    continue;
+                }
                 let admitted = Instant::now();
-                session.stats.fed += 1;
                 session.stats.admitted += 1;
                 fleet_metrics.admitted.inc();
                 let (seq, mut prep) = session.prepare(frame, hold);

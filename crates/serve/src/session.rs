@@ -48,6 +48,10 @@ impl std::fmt::Display for StreamId {
 pub struct StreamStats {
     /// Frames the feed offered.
     pub fed: u64,
+    /// Frames refused at admission because their size did not match
+    /// the stream's configured frame geometry. A rejected frame never
+    /// reaches the session.
+    pub rejected: u64,
     /// Frames accepted into the admission queue.
     pub admitted: u64,
     /// Frames dropped on admission because the queue was full
@@ -76,6 +80,7 @@ impl StreamStats {
     pub(crate) fn delta(&self, earlier: &StreamStats) -> StreamStats {
         StreamStats {
             fed: self.fed - earlier.fed,
+            rejected: self.rejected - earlier.rejected,
             admitted: self.admitted - earlier.admitted,
             shed_overflow: self.shed_overflow - earlier.shed_overflow,
             shed_stale: self.shed_stale - earlier.shed_stale,
@@ -163,9 +168,27 @@ impl StreamSession {
         self.prepared < self.hot_until
     }
 
+    /// Counts one frame offered by the feed and screens it: a frame
+    /// whose size does not match the stream's configured geometry is
+    /// counted rejected and refused (`false`). The single admission
+    /// check both the sharded loop and the reference mode go through,
+    /// so an untrusted camera can never hand the VP stage a frame it
+    /// cannot process.
+    pub(crate) fn screen(&mut self, frame: &GrayFrame, fleet: &FleetMetrics) -> bool {
+        self.stats.fed += 1;
+        let config = self.inner.config();
+        if frame.width() == config.frame_width && frame.height() == config.frame_height {
+            return true;
+        }
+        self.stats.rejected += 1;
+        fleet.rejected.inc();
+        false
+    }
+
     /// Accepts one frame from the feed. With shedding enabled and the
     /// queue full, the *oldest* queued frame is evicted first — a
     /// real-time feed is always better served by its freshest data.
+    /// Malformed frames are refused (see [`StreamSession::screen`]).
     pub(crate) fn admit(
         &mut self,
         frame: GrayFrame,
@@ -173,7 +196,9 @@ impl StreamSession {
         capacity: usize,
         fleet: &FleetMetrics,
     ) {
-        self.stats.fed += 1;
+        if !self.screen(&frame, fleet) {
+            return;
+        }
         if shedding && self.queue.len() >= capacity {
             self.queue.pop_front();
             self.stats.shed_overflow += 1;

@@ -131,10 +131,16 @@ impl FrameSource for VecSource {
 /// immediately) — a live camera stand-in that never blocks: between due
 /// times it reports [`SourcePoll::Pending`] and lets the shard serve
 /// other streams.
+///
+/// The schedule is fixed at the first poll: frame `k` is due at
+/// `first poll + k * interval`. A late poll releases every frame that
+/// fell due meanwhile, one per poll, and leaves the grid where it was,
+/// so the offered rate never drifts below one per interval.
 #[derive(Debug)]
 pub struct PacedSource {
     frames: VecDeque<GrayFrame>,
     interval: Duration,
+    /// When the next frame is due; set by the first poll.
     due: Option<Instant>,
 }
 
@@ -155,13 +161,12 @@ impl FrameSource for PacedSource {
         if self.frames.is_empty() {
             return SourcePoll::Done;
         }
-        match self.due {
-            Some(due) if now < due => SourcePoll::Pending,
-            _ => {
-                self.due = Some(now + self.interval);
-                SourcePoll::Ready(self.frames.pop_front().expect("checked non-empty"))
-            }
+        let due = *self.due.get_or_insert(now);
+        if now < due {
+            return SourcePoll::Pending;
         }
+        self.due = Some(due + self.interval);
+        SourcePoll::Ready(self.frames.pop_front().expect("checked non-empty"))
     }
 
     fn drain(&mut self) -> Vec<GrayFrame> {
@@ -331,6 +336,29 @@ mod tests {
         let later = now + Duration::from_secs(61);
         assert!(matches!(src.poll(later), SourcePoll::Ready(_)));
         assert!(matches!(src.poll(later), SourcePoll::Done));
+    }
+
+    #[test]
+    fn paced_source_keeps_its_grid_after_a_late_poll() {
+        let interval = Duration::from_secs(60);
+        let mut src = PacedSource::new((1..=6).map(frame).collect(), interval);
+        let start = Instant::now();
+        assert!(matches!(src.poll(start), SourcePoll::Ready(f) if f.at(0, 0) == 1));
+        // Polled three intervals late: the three frames that fell due
+        // meanwhile are released at once, then the source waits again.
+        let late = start + 3 * interval + Duration::from_secs(5);
+        for expected in 2..=4 {
+            assert!(matches!(src.poll(late), SourcePoll::Ready(f) if f.at(0, 0) == expected));
+        }
+        assert!(matches!(src.poll(late), SourcePoll::Pending));
+        // The next frame is due on the original grid (start + 4
+        // intervals), not one interval after the late poll.
+        let on_grid = start + 4 * interval;
+        assert!(matches!(
+            src.poll(on_grid - Duration::from_millis(1)),
+            SourcePoll::Pending
+        ));
+        assert!(matches!(src.poll(on_grid), SourcePoll::Ready(f) if f.at(0, 0) == 5));
     }
 
     #[test]
