@@ -2,13 +2,13 @@
 
 use crate::{Layer, Mode, Param};
 use safecross_tensor::{
-    col2im, im2col, im2col_into, kernel, qtensor, Conv2dGeom, KernelScratch, Precision, QTensor,
+    col2im, im2col_into, kernel, qtensor, Conv2dGeom, KernelScratch, Precision, QTensor,
     Tensor, TensorRng,
 };
 
 /// A 2-D convolution over `[N, C, H, W]` batches with square kernels.
 ///
-/// Lowered to matrix multiplication through [`im2col`]; the backward pass
+/// Lowered to matrix multiplication through [`im2col_into`]; the backward pass
 /// uses the adjoint [`col2im`]. Used by the TSN-lite classifier and the
 /// YOLO-lite detector.
 ///
@@ -117,49 +117,7 @@ impl Conv2d {
 }
 
 impl Layer for Conv2d {
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
-        assert_eq!(x.shape().ndim(), 4, "Conv2d expects [N, C, H, W]");
-        assert_eq!(x.shape().dim(1), self.in_channels, "Conv2d channel mismatch");
-        let (n, h, w) = (x.shape().dim(0), x.shape().dim(2), x.shape().dim(3));
-        let g = self.geometry(h, w);
-        let (oh, ow) = (g.out_height(), g.out_width());
-        if mode == Mode::Train {
-            self.cached_cols.clear();
-            self.cached_geom = Some(g);
-        }
-        let mut out = Tensor::zeros(&[n, self.out_channels, oh, ow]);
-        let mut local = KernelScratch::new();
-        for i in 0..n {
-            let cols = im2col(&x.index_axis0(i), &g);
-            let plane = oh * ow;
-            let mut y = match (&self.qweight, mode) {
-                (Some(qw), Mode::Eval) => {
-                    // Int8 inference path; training stays f32.
-                    let mut y = Tensor::zeros(&[self.out_channels, plane]);
-                    self.gemm_int8_cols(qw, cols.data(), y.data_mut(), g.patch_len(), plane, &mut local);
-                    y
-                }
-                _ => self.weight.value.matmul(&cols), // [out_c, oh*ow]
-            };
-            let b = self.bias.value.data();
-            let yd = y.data_mut();
-            for (c, &bc) in b.iter().enumerate() {
-                for v in &mut yd[c * plane..(c + 1) * plane] {
-                    *v += bc;
-                }
-            }
-            out.set_axis0(i, &y.reshape(&[self.out_channels, oh, ow]));
-            if mode == Mode::Train {
-                self.cached_cols.push(cols);
-            }
-        }
-        out
-    }
-
     fn forward_scratch(&mut self, x: &Tensor, mode: Mode, scratch: &mut KernelScratch) -> Tensor {
-        if mode == Mode::Train {
-            return self.forward(x, mode);
-        }
         assert_eq!(x.shape().ndim(), 4, "Conv2d expects [N, C, H, W]");
         assert_eq!(x.shape().dim(1), self.in_channels, "Conv2d channel mismatch");
         let (n, h, w) = (x.shape().dim(0), x.shape().dim(2), x.shape().dim(3));
@@ -167,29 +125,38 @@ impl Layer for Conv2d {
         let (oh, ow) = (g.out_height(), g.out_width());
         let plane = oh * ow;
         let (patch, chw) = (g.patch_len(), self.in_channels * h * w);
+        let train = mode == Mode::Train;
+        if train {
+            self.cached_cols.clear();
+            self.cached_geom = Some(g);
+        }
         let mut out = scratch.take_tensor(&[n, self.out_channels, oh, ow]);
         let mut cols = scratch.take(patch * plane);
-        let b = self.bias.value.data();
         for i in 0..n {
             im2col_into(&x.data()[i * chw..(i + 1) * chw], &g, &mut cols);
             let oseg = &mut out.data_mut()
                 [i * self.out_channels * plane..(i + 1) * self.out_channels * plane];
-            if let Some(qw) = &self.qweight {
-                self.gemm_int8_cols(qw, &cols, oseg, patch, plane, scratch);
-            } else {
-                kernel::gemm_into(
+            match &self.qweight {
+                // Int8 inference path; training always stays f32.
+                Some(qw) if !train => self.gemm_int8_cols(qw, &cols, oseg, patch, plane, scratch),
+                _ => kernel::gemm_into(
                     self.weight.value.data(),
                     &cols,
                     oseg,
                     self.out_channels,
                     patch,
                     plane,
-                );
+                ),
             }
-            for (c, &bc) in b.iter().enumerate() {
+            for (c, &bc) in self.bias.value.data().iter().enumerate() {
                 for v in &mut oseg[c * plane..(c + 1) * plane] {
                     *v += bc;
                 }
+            }
+            if train {
+                // Backward reads the patch matrices after the call, so
+                // they are owned copies, never pooled buffers.
+                self.cached_cols.push(Tensor::from_vec(cols.clone(), &[patch, plane]));
             }
         }
         scratch.recycle(cols);

@@ -2,7 +2,7 @@
 
 use crate::{Layer, Mode, Param};
 use safecross_tensor::{
-    col2vol, kernel, qtensor, vol2col, vol2col_into, Conv3dGeom, KernelScratch, Precision,
+    col2vol, kernel, qtensor, vol2col_into, Conv3dGeom, KernelScratch, Precision,
     QTensor, Tensor, TensorRng,
 };
 
@@ -123,54 +123,7 @@ impl Conv3d {
 }
 
 impl Layer for Conv3d {
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
-        assert_eq!(x.shape().ndim(), 5, "Conv3d expects [N, C, T, H, W]");
-        assert_eq!(x.shape().dim(1), self.in_channels, "Conv3d channel mismatch");
-        let (n, t, h, w) = (
-            x.shape().dim(0),
-            x.shape().dim(2),
-            x.shape().dim(3),
-            x.shape().dim(4),
-        );
-        let g = self.geometry(t, h, w);
-        let (ot, oh, ow) = (g.out_frames(), g.out_height(), g.out_width());
-        if mode == Mode::Train {
-            self.cached_cols.clear();
-            self.cached_geom = Some(g);
-        }
-        let mut out = Tensor::zeros(&[n, self.out_channels, ot, oh, ow]);
-        let plane = ot * oh * ow;
-        let mut local = KernelScratch::new();
-        for i in 0..n {
-            let cols = vol2col(&x.index_axis0(i), &g);
-            let mut y = match (&self.qweight, mode) {
-                (Some(qw), Mode::Eval) => {
-                    // Int8 inference path; training stays f32.
-                    let mut y = Tensor::zeros(&[self.out_channels, plane]);
-                    self.gemm_int8_cols(qw, cols.data(), y.data_mut(), g.patch_len(), plane, &mut local);
-                    y
-                }
-                _ => self.weight.value.matmul(&cols),
-            };
-            let b = self.bias.value.data();
-            let yd = y.data_mut();
-            for (c, &bc) in b.iter().enumerate() {
-                for v in &mut yd[c * plane..(c + 1) * plane] {
-                    *v += bc;
-                }
-            }
-            out.set_axis0(i, &y.reshape(&[self.out_channels, ot, oh, ow]));
-            if mode == Mode::Train {
-                self.cached_cols.push(cols);
-            }
-        }
-        out
-    }
-
     fn forward_scratch(&mut self, x: &Tensor, mode: Mode, scratch: &mut KernelScratch) -> Tensor {
-        if mode == Mode::Train {
-            return self.forward(x, mode);
-        }
         assert_eq!(x.shape().ndim(), 5, "Conv3d expects [N, C, T, H, W]");
         assert_eq!(x.shape().dim(1), self.in_channels, "Conv3d channel mismatch");
         let (n, t, h, w) = (
@@ -183,29 +136,38 @@ impl Layer for Conv3d {
         let (ot, oh, ow) = (g.out_frames(), g.out_height(), g.out_width());
         let plane = ot * oh * ow;
         let (patch, cthw) = (g.patch_len(), self.in_channels * t * h * w);
+        let train = mode == Mode::Train;
+        if train {
+            self.cached_cols.clear();
+            self.cached_geom = Some(g);
+        }
         let mut out = scratch.take_tensor(&[n, self.out_channels, ot, oh, ow]);
         let mut cols = scratch.take(patch * plane);
-        let b = self.bias.value.data();
         for i in 0..n {
             vol2col_into(&x.data()[i * cthw..(i + 1) * cthw], &g, &mut cols);
             let oseg = &mut out.data_mut()
                 [i * self.out_channels * plane..(i + 1) * self.out_channels * plane];
-            if let Some(qw) = &self.qweight {
-                self.gemm_int8_cols(qw, &cols, oseg, patch, plane, scratch);
-            } else {
-                kernel::gemm_into(
+            match &self.qweight {
+                // Int8 inference path; training always stays f32.
+                Some(qw) if !train => self.gemm_int8_cols(qw, &cols, oseg, patch, plane, scratch),
+                _ => kernel::gemm_into(
                     self.weight.value.data(),
                     &cols,
                     oseg,
                     self.out_channels,
                     patch,
                     plane,
-                );
+                ),
             }
-            for (c, &bc) in b.iter().enumerate() {
+            for (c, &bc) in self.bias.value.data().iter().enumerate() {
                 for v in &mut oseg[c * plane..(c + 1) * plane] {
                     *v += bc;
                 }
+            }
+            if train {
+                // Backward reads the patch matrices after the call, so
+                // they are owned copies, never pooled buffers.
+                self.cached_cols.push(Tensor::from_vec(cols.clone(), &[patch, plane]));
             }
         }
         scratch.recycle(cols);

@@ -20,38 +20,43 @@ pub enum Mode {
 ///
 /// The contract is the classic "define-by-layer" one:
 ///
-/// 1. `forward` consumes a batch-leading input (`[N, ...]`), caches
-///    whatever its backward pass needs, and produces the output.
+/// 1. `forward_scratch` consumes a batch-leading input (`[N, ...]`),
+///    caches whatever its backward pass needs when training, and
+///    produces the output.
 /// 2. `backward` receives the gradient of the loss with respect to that
 ///    output, **accumulates** gradients into its parameters, and returns
 ///    the gradient with respect to the input.
 ///
-/// `backward` must be preceded by a `forward` in `Mode::Train` on the same
+/// `backward` must be preceded by a forward in `Mode::Train` on the same
 /// data; implementations are allowed to panic otherwise.
+///
+/// [`Layer::forward_scratch`] is the one required forward: every
+/// implementor writes its forward body exactly once, and
+/// [`Layer::forward`] is the allocating convenience wrapper around it.
 ///
 /// The trait is object-safe so networks can be composed as
 /// `Vec<Box<dyn Layer>>` (see [`crate::Sequential`]); `clone_box` enables
 /// cloning whole models, which the MAML inner loop relies on.
 pub trait Layer: Send + Sync {
-    /// Runs the layer on `x`, caching backward state when training.
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor;
+    /// Runs the layer on `x`, borrowing working buffers (and the returned
+    /// tensor's storage) from `scratch`, and caching backward state when
+    /// `mode` is `Mode::Train`.
+    ///
+    /// The contract: the output depends only on the layer state, `x` and
+    /// `mode` — never on what `scratch` held before, so a cold and a warm
+    /// scratch give bit-identical results. In `Mode::Eval` an
+    /// implementation must not touch the heap beyond what `scratch`
+    /// already pooled; this is what makes the steady-state classify path
+    /// allocation-free once warm. Callers recycle the returned tensor
+    /// back into the same scratch when they are done with it.
+    /// `Mode::Train` may allocate: backward caches are owned buffers
+    /// that outlive the call and never come from `scratch`.
+    fn forward_scratch(&mut self, x: &Tensor, mode: Mode, scratch: &mut KernelScratch) -> Tensor;
 
-    /// Like [`Layer::forward`], but borrowing working buffers (and the
-    /// returned tensor's storage) from `scratch` instead of allocating.
-    ///
-    /// The contract: the output is **bit-identical** to `forward`'s, and
-    /// in `Mode::Eval` an implementation must not touch the heap beyond
-    /// what `scratch` already pooled — this is what makes the
-    /// steady-state classify path allocation-free once warm. Callers
-    /// recycle the returned tensor back into the same scratch when they
-    /// are done with it. `Mode::Train` paths may still allocate (their
-    /// backward caches live beyond the call).
-    ///
-    /// The default falls back to the allocating `forward`, so third-party
-    /// layers stay source-compatible.
-    fn forward_scratch(&mut self, x: &Tensor, mode: Mode, scratch: &mut KernelScratch) -> Tensor {
-        let _ = scratch;
-        self.forward(x, mode)
+    /// The allocating convenience form of [`Layer::forward_scratch`]: runs
+    /// it against a fresh scratch arena and hands the output back owned.
+    fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
+        self.forward_scratch(x, mode, &mut KernelScratch::new())
     }
 
     /// Back-propagates `grad_out`, accumulating parameter gradients and

@@ -87,44 +87,15 @@ impl Linear {
 }
 
 impl Layer for Linear {
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
-        assert_eq!(x.shape().ndim(), 2, "Linear expects a [N, in] batch");
-        assert_eq!(x.shape().dim(1), self.in_features, "Linear input width mismatch");
-        if mode == Mode::Train {
-            self.cached_input = Some(x.clone());
-        }
-        if mode == Mode::Eval {
-            if let Some(qw) = self.qweight.take() {
-                // Int8 inference path; training above always stays f32.
-                let mut y = Tensor::zeros(&[x.shape().dim(0), self.out_features]);
-                self.forward_int8(&qw, x, y.data_mut(), &mut KernelScratch::new());
-                self.qweight = Some(qw);
-                return y;
-            }
-        }
-        let mut y = x.matmul(&self.weight.value.transpose());
-        let n = y.shape().dim(0);
-        let out = self.out_features;
-        let b = self.bias.value.data();
-        let data = y.data_mut();
-        for i in 0..n {
-            for (j, &bj) in b.iter().enumerate() {
-                data[i * out + j] += bj;
-            }
-        }
-        y
-    }
-
     fn forward_scratch(&mut self, x: &Tensor, mode: Mode, scratch: &mut KernelScratch) -> Tensor {
-        if mode == Mode::Train {
-            // Training caches outlive the call; the allocating path is fine.
-            return self.forward(x, mode);
-        }
         assert_eq!(x.shape().ndim(), 2, "Linear expects a [N, in] batch");
         assert_eq!(x.shape().dim(1), self.in_features, "Linear input width mismatch");
         let n = x.shape().dim(0);
         let out = self.out_features;
-        if let Some(qw) = self.qweight.take() {
+        if mode == Mode::Train {
+            // Training caches its input and always runs the f32 path.
+            self.cached_input = Some(x.clone());
+        } else if let Some(qw) = self.qweight.take() {
             let mut y = scratch.take_tensor(&[n, out]);
             self.forward_int8(&qw, x, y.data_mut(), scratch);
             self.qweight = Some(qw);

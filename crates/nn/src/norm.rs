@@ -65,6 +65,39 @@ impl BatchNorm {
         self.channels
     }
 
+    /// Per-channel batch mean and (biased) variance of `x`, folding
+    /// them into the running statistics PyTorch-style.
+    fn batch_statistics(&mut self, x: &Tensor) -> (Vec<f32>, Vec<f32>) {
+        let (n, rest) = self.split_dims(x.dims());
+        let c = self.channels;
+        let count = (n * rest) as f32;
+        let mut means = vec![0.0f32; c];
+        let mut vars = vec![0.0f32; c];
+        for ch in 0..c {
+            let mut sum = 0.0;
+            for i in 0..n {
+                let base = (i * c + ch) * rest;
+                sum += x.data()[base..base + rest].iter().sum::<f32>();
+            }
+            means[ch] = sum / count;
+            let mut sq = 0.0;
+            for i in 0..n {
+                let base = (i * c + ch) * rest;
+                sq += x.data()[base..base + rest]
+                    .iter()
+                    .map(|&v| (v - means[ch]) * (v - means[ch]))
+                    .sum::<f32>();
+            }
+            vars[ch] = sq / count;
+            // running += m * (batch - running)
+            let rm = self.running_mean.data_mut();
+            rm[ch] += self.momentum * (means[ch] - rm[ch]);
+            let rv = self.running_var.data_mut();
+            rv[ch] += self.momentum * (vars[ch] - rv[ch]);
+        }
+        (means, vars)
+    }
+
     /// Splits a shape into `(batch, channels, rest)` extents.
     fn split_dims(&self, dims: &[usize]) -> (usize, usize) {
         assert!(dims.len() >= 2, "BatchNorm expects rank >= 2");
@@ -76,90 +109,15 @@ impl BatchNorm {
 }
 
 impl Layer for BatchNorm {
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
-        let dims = x.dims().to_vec();
-        let (n, rest) = self.split_dims(&dims);
-        let c = self.channels;
-        let count = (n * rest) as f32;
-        let mut out = x.clone();
-
-        let (means, vars): (Vec<f32>, Vec<f32>) = if mode == Mode::Train {
-            let mut means = vec![0.0f32; c];
-            let mut vars = vec![0.0f32; c];
-            for ch in 0..c {
-                let mut sum = 0.0;
-                for i in 0..n {
-                    let base = (i * c + ch) * rest;
-                    sum += x.data()[base..base + rest].iter().sum::<f32>();
-                }
-                means[ch] = sum / count;
-                let mut sq = 0.0;
-                for i in 0..n {
-                    let base = (i * c + ch) * rest;
-                    sq += x.data()[base..base + rest]
-                        .iter()
-                        .map(|&v| (v - means[ch]) * (v - means[ch]))
-                        .sum::<f32>();
-                }
-                vars[ch] = sq / count;
-                // PyTorch-style update: running += m * (batch - running)
-                let rm = self.running_mean.data_mut();
-                rm[ch] += self.momentum * (means[ch] - rm[ch]);
-                let rv = self.running_var.data_mut();
-                rv[ch] += self.momentum * (vars[ch] - rv[ch]);
-            }
-            (means, vars)
-        } else {
-            (
-                self.running_mean.data().to_vec(),
-                self.running_var.data().to_vec(),
-            )
-        };
-
-        let mut inv_std = vec![0.0f32; c];
-        for ch in 0..c {
-            inv_std[ch] = 1.0 / (vars[ch] + self.eps).sqrt();
-        }
-        let g = self.gamma.value.data().to_vec();
-        let b = self.beta.value.data().to_vec();
-        let mut xhat = Tensor::zeros(x.dims());
-        {
-            let xd = x.data();
-            let xh = xhat.data_mut();
-            let od = out.data_mut();
-            for i in 0..n {
-                for ch in 0..c {
-                    let base = (i * c + ch) * rest;
-                    for r in 0..rest {
-                        let h = (xd[base + r] - means[ch]) * inv_std[ch];
-                        xh[base + r] = h;
-                        od[base + r] = g[ch] * h + b[ch];
-                    }
-                }
-            }
-        }
-        if mode == Mode::Train {
-            self.cache = Some(BnCache {
-                xhat,
-                inv_std,
-                dims,
-            });
-        }
-        out
-    }
-
     fn forward_scratch(&mut self, x: &Tensor, mode: Mode, scratch: &mut KernelScratch) -> Tensor {
-        if mode == Mode::Train {
-            return self.forward(x, mode);
-        }
         let (n, rest) = self.split_dims(x.dims());
         let c = self.channels;
+        let batch = (mode == Mode::Train).then(|| self.batch_statistics(x));
+        let (means, vars) = match &batch {
+            Some((means, vars)) => (means.as_slice(), vars.as_slice()),
+            None => (self.running_mean.data(), self.running_var.data()),
+        };
         let mut out = scratch.take_tensor(x.dims());
-        // Running stats are read in place — the allocating forward's
-        // `.to_vec()` copies exist only to share code with the train
-        // branch. Arithmetic is kept expression-for-expression identical.
-        let means = self.running_mean.data();
-        let vars = self.running_var.data();
         let g = self.gamma.value.data();
         let b = self.beta.value.data();
         let xd = x.data();
@@ -173,6 +131,26 @@ impl Layer for BatchNorm {
                     od[base + r] = g[ch] * h + b[ch];
                 }
             }
+        }
+        if let Some((means, vars)) = batch {
+            // A separate pass, so the eval loop above stays exactly the
+            // inference instruction stream; `xhat` repeats its arithmetic.
+            let inv_std: Vec<f32> = vars.iter().map(|&v| 1.0 / (v + self.eps).sqrt()).collect();
+            let mut xhat = Tensor::zeros(x.dims());
+            let xh = xhat.data_mut();
+            for i in 0..n {
+                for ch in 0..c {
+                    let base = (i * c + ch) * rest;
+                    for r in 0..rest {
+                        xh[base + r] = (xd[base + r] - means[ch]) * inv_std[ch];
+                    }
+                }
+            }
+            self.cache = Some(BnCache {
+                xhat,
+                inv_std,
+                dims: x.dims().to_vec(),
+            });
         }
         out
     }

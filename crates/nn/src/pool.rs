@@ -37,24 +37,20 @@ impl MaxPool2d {
             in_dims: Vec::new(),
         }
     }
-}
 
-impl Layer for MaxPool2d {
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
-        assert_eq!(x.shape().ndim(), 4, "MaxPool2d expects [N, C, H, W]");
+    /// The max scan into `od`; with `TRACK` it also records each
+    /// output's winning flat input index in `winners`. Eval instantiates
+    /// `TRACK = false`, so its loop carries no winner bookkeeping.
+    fn scan<const TRACK: bool>(&self, x: &Tensor, od: &mut [f32], winners: &mut [usize]) {
         let (n, c, h, w) = (
             x.shape().dim(0),
             x.shape().dim(1),
             x.shape().dim(2),
             x.shape().dim(3),
         );
-        assert!(h >= self.kernel && w >= self.kernel, "input smaller than window");
         let oh = (h - self.kernel) / self.stride + 1;
         let ow = (w - self.kernel) / self.stride + 1;
-        let mut out = Tensor::zeros(&[n, c, oh, ow]);
-        let mut winners = vec![0usize; n * c * oh * ow];
         let xd = x.data();
-        let od = out.data_mut();
         for i in 0..n {
             for ch in 0..c {
                 let ibase = (i * c + ch) * h * w;
@@ -74,22 +70,18 @@ impl Layer for MaxPool2d {
                             }
                         }
                         od[obase + oy * ow + ox] = best;
-                        winners[obase + oy * ow + ox] = best_idx;
+                        if TRACK {
+                            winners[obase + oy * ow + ox] = best_idx;
+                        }
                     }
                 }
             }
         }
-        if mode == Mode::Train {
-            self.in_dims = x.dims().to_vec();
-            self.argmax = Some((winners, vec![n, c, oh, ow]));
-        }
-        out
     }
+}
 
+impl Layer for MaxPool2d {
     fn forward_scratch(&mut self, x: &Tensor, mode: Mode, scratch: &mut KernelScratch) -> Tensor {
-        if mode == Mode::Train {
-            return self.forward(x, mode);
-        }
         assert_eq!(x.shape().ndim(), 4, "MaxPool2d expects [N, C, H, W]");
         let (n, c, h, w) = (
             x.shape().dim(0),
@@ -101,30 +93,13 @@ impl Layer for MaxPool2d {
         let oh = (h - self.kernel) / self.stride + 1;
         let ow = (w - self.kernel) / self.stride + 1;
         let mut out = scratch.take_tensor(&[n, c, oh, ow]);
-        let xd = x.data();
-        let od = out.data_mut();
-        // Same scan as `forward` minus the winner bookkeeping (eval never
-        // back-propagates, so the argmax vec would be dead weight).
-        for i in 0..n {
-            for ch in 0..c {
-                let ibase = (i * c + ch) * h * w;
-                let obase = (i * c + ch) * oh * ow;
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut best = f32::NEG_INFINITY;
-                        for ky in 0..self.kernel {
-                            for kx in 0..self.kernel {
-                                let idx =
-                                    ibase + (oy * self.stride + ky) * w + ox * self.stride + kx;
-                                if xd[idx] > best {
-                                    best = xd[idx];
-                                }
-                            }
-                        }
-                        od[obase + oy * ow + ox] = best;
-                    }
-                }
-            }
+        if mode == Mode::Train {
+            let mut winners = vec![0usize; n * c * oh * ow];
+            self.scan::<true>(x, out.data_mut(), &mut winners);
+            self.in_dims = x.dims().to_vec();
+            self.argmax = Some((winners, vec![n, c, oh, ow]));
+        } else {
+            self.scan::<false>(x, out.data_mut(), &mut []);
         }
         out
     }
@@ -176,11 +151,11 @@ impl MaxPool3d {
             in_dims: Vec::new(),
         }
     }
-}
 
-impl Layer for MaxPool3d {
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
-        assert_eq!(x.shape().ndim(), 5, "MaxPool3d expects [N, C, T, H, W]");
+    /// The max scan into `od`; with `TRACK` it also records each
+    /// output's winning flat input index in `winners`. Eval instantiates
+    /// `TRACK = false`, so its loop carries no winner bookkeeping.
+    fn scan<const TRACK: bool>(&self, x: &Tensor, od: &mut [f32], winners: &mut [usize]) {
         let (n, c, t, h, w) = (
             x.shape().dim(0),
             x.shape().dim(1),
@@ -190,14 +165,10 @@ impl Layer for MaxPool3d {
         );
         let (kt, ks) = self.kernel;
         let (st, ss) = self.stride;
-        assert!(t >= kt && h >= ks && w >= ks, "input smaller than window");
         let ot = (t - kt) / st + 1;
         let oh = (h - ks) / ss + 1;
         let ow = (w - ks) / ss + 1;
-        let mut out = Tensor::zeros(&[n, c, ot, oh, ow]);
-        let mut winners = vec![0usize; n * c * ot * oh * ow];
         let xd = x.data();
-        let od = out.data_mut();
         for i in 0..n {
             for ch in 0..c {
                 let ibase = (i * c + ch) * t * h * w;
@@ -224,23 +195,19 @@ impl Layer for MaxPool3d {
                             }
                             let o = obase + oti * oh * ow + oy * ow + ox;
                             od[o] = best;
-                            winners[o] = best_idx;
+                            if TRACK {
+                                winners[o] = best_idx;
+                            }
                         }
                     }
                 }
             }
         }
-        if mode == Mode::Train {
-            self.in_dims = x.dims().to_vec();
-            self.argmax = Some(winners);
-        }
-        out
     }
+}
 
+impl Layer for MaxPool3d {
     fn forward_scratch(&mut self, x: &Tensor, mode: Mode, scratch: &mut KernelScratch) -> Tensor {
-        if mode == Mode::Train {
-            return self.forward(x, mode);
-        }
         assert_eq!(x.shape().ndim(), 5, "MaxPool3d expects [N, C, T, H, W]");
         let (n, c, t, h, w) = (
             x.shape().dim(0),
@@ -256,35 +223,13 @@ impl Layer for MaxPool3d {
         let oh = (h - ks) / ss + 1;
         let ow = (w - ks) / ss + 1;
         let mut out = scratch.take_tensor(&[n, c, ot, oh, ow]);
-        let xd = x.data();
-        let od = out.data_mut();
-        for i in 0..n {
-            for ch in 0..c {
-                let ibase = (i * c + ch) * t * h * w;
-                let obase = (i * c + ch) * ot * oh * ow;
-                for oti in 0..ot {
-                    for oy in 0..oh {
-                        for ox in 0..ow {
-                            let mut best = f32::NEG_INFINITY;
-                            for ktt in 0..kt {
-                                for ky in 0..ks {
-                                    for kx in 0..ks {
-                                        let idx = ibase
-                                            + (oti * st + ktt) * h * w
-                                            + (oy * ss + ky) * w
-                                            + ox * ss
-                                            + kx;
-                                        if xd[idx] > best {
-                                            best = xd[idx];
-                                        }
-                                    }
-                                }
-                            }
-                            od[obase + oti * oh * ow + oy * ow + ox] = best;
-                        }
-                    }
-                }
-            }
+        if mode == Mode::Train {
+            let mut winners = vec![0usize; n * c * ot * oh * ow];
+            self.scan::<true>(x, out.data_mut(), &mut winners);
+            self.in_dims = x.dims().to_vec();
+            self.argmax = Some(winners);
+        } else {
+            self.scan::<false>(x, out.data_mut(), &mut []);
         }
         out
     }
@@ -329,28 +274,7 @@ impl GlobalAvgPool {
 }
 
 impl Layer for GlobalAvgPool {
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
-        assert!(x.shape().ndim() >= 3, "GlobalAvgPool expects [N, C, ...]");
-        let (n, c) = (x.shape().dim(0), x.shape().dim(1));
-        let rest: usize = x.dims()[2..].iter().product();
-        let mut out = Tensor::zeros(&[n, c]);
-        for i in 0..n {
-            for ch in 0..c {
-                let base = (i * c + ch) * rest;
-                out.data_mut()[i * c + ch] =
-                    x.data()[base..base + rest].iter().sum::<f32>() / rest as f32;
-            }
-        }
-        if mode == Mode::Train {
-            self.in_dims = x.dims().to_vec();
-        }
-        out
-    }
-
     fn forward_scratch(&mut self, x: &Tensor, mode: Mode, scratch: &mut KernelScratch) -> Tensor {
-        if mode == Mode::Train {
-            return self.forward(x, mode);
-        }
         assert!(x.shape().ndim() >= 3, "GlobalAvgPool expects [N, C, ...]");
         let (n, c) = (x.shape().dim(0), x.shape().dim(1));
         let rest: usize = x.dims()[2..].iter().product();
@@ -362,6 +286,9 @@ impl Layer for GlobalAvgPool {
                 let base = (i * c + ch) * rest;
                 od[i * c + ch] = xd[base..base + rest].iter().sum::<f32>() / rest as f32;
             }
+        }
+        if mode == Mode::Train {
+            self.in_dims = x.dims().to_vec();
         }
         out
     }
@@ -407,24 +334,13 @@ impl Flatten {
 }
 
 impl Layer for Flatten {
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
+    fn forward_scratch(&mut self, x: &Tensor, mode: Mode, scratch: &mut KernelScratch) -> Tensor {
         assert!(x.shape().ndim() >= 2, "Flatten expects a batched input");
         let n = x.shape().dim(0);
         let rest = x.len() / n;
         if mode == Mode::Train {
             self.in_dims = x.dims().to_vec();
         }
-        x.reshape(&[n, rest])
-    }
-
-    fn forward_scratch(&mut self, x: &Tensor, mode: Mode, scratch: &mut KernelScratch) -> Tensor {
-        if mode == Mode::Train {
-            return self.forward(x, mode);
-        }
-        assert!(x.shape().ndim() >= 2, "Flatten expects a batched input");
-        let n = x.shape().dim(0);
-        let rest = x.len() / n;
-        // `reshape` clones the data; do the same copy into pooled storage.
         let mut out = scratch.take_tensor(&[n, rest]);
         out.data_mut().copy_from_slice(x.data());
         out

@@ -75,14 +75,6 @@ impl std::fmt::Debug for Sequential {
 }
 
 impl Layer for Sequential {
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
-        let mut h = x.clone();
-        for layer in &mut self.layers {
-            h = layer.forward(&h, mode);
-        }
-        h
-    }
-
     fn forward_scratch(&mut self, x: &Tensor, mode: Mode, scratch: &mut KernelScratch) -> Tensor {
         let Some((first, rest)) = self.layers.split_first_mut() else {
             // An empty stack is the identity; copy so the caller can

@@ -19,9 +19,11 @@
 //!    buffers that conv/pool/norm forwards borrow instead of allocating;
 //!    once warm, the steady-state classify path performs zero heap
 //!    allocations.
-//! 3. **Observability.** Registered observers (see
-//!    [`register_gemm_observer`]) receive one [`GemmSample`] per GEMM,
-//!    which the orchestrator bridges into `nn.gemm.*` telemetry.
+//! 3. **Observability.** Observers — process-wide
+//!    ([`register_gemm_observer`]) or scoped to one thread
+//!    ([`scope_gemm_observer`]) — receive one [`GemmSample`] per f32 or
+//!    int8 GEMM; an instrumented video classifier scopes its registry's
+//!    `nn.gemm.*` bridge around its own forward.
 //!
 //! The thread count comes from [`KernelConfig`]: the
 //! `SAFECROSS_KERNEL_THREADS` environment variable when set, otherwise
@@ -38,13 +40,15 @@
 
 pub mod simd;
 
+use std::cell::RefCell;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, RwLock, Weak};
 use std::time::Instant;
 
 pub use simd::Isa;
 
-use crate::{Shape, Tensor};
+use crate::{Precision, Shape, Tensor};
 
 // ---------------------------------------------------------------------
 // Thread configuration
@@ -207,6 +211,9 @@ pub struct GemmSample {
     pub n: usize,
     /// Wall-clock time of the call, in milliseconds.
     pub elapsed_ms: f64,
+    /// The arithmetic the GEMM ran in: f32 ([`gemm_into`],
+    /// [`gemm_transb_into`]) or int8 (the `qtensor` GEMMs).
+    pub precision: Precision,
 }
 
 impl GemmSample {
@@ -219,21 +226,27 @@ impl GemmSample {
 /// An observer callback receiving one [`GemmSample`] per GEMM.
 pub type GemmObserverFn = dyn Fn(&GemmSample) + Send + Sync;
 
+/// Set once any observer — registered or scoped — has been installed;
+/// until then every GEMM skips the clock reads entirely.
 static OBSERVERS_ACTIVE: AtomicBool = AtomicBool::new(false);
 
-fn observer_registry() -> &'static RwLock<Vec<Weak<GemmObserverFn>>> {
-    static REGISTRY: OnceLock<RwLock<Vec<Weak<GemmObserverFn>>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| RwLock::new(Vec::new()))
+static REGISTRY: OnceLock<RwLock<Vec<Weak<GemmObserverFn>>>> = OnceLock::new();
+
+thread_local! {
+    static SCOPED: RefCell<Option<Arc<GemmObserverFn>>> = const { RefCell::new(None) };
 }
 
-/// Registers a GEMM observer. The registry holds only a [`Weak`]
-/// reference: the caller keeps the [`Arc`] alive for as long as it wants
-/// samples, and dropping it unregisters the observer (dead entries are
-/// pruned on the next registration). Observers must not allocate if the
-/// zero-allocation classify guarantee matters to the process, and they
-/// run on whichever thread issues the GEMM.
+/// Registers a process-wide GEMM observer: it sees every GEMM on every
+/// thread. The registry holds only a [`Weak`] reference: the caller
+/// keeps the [`Arc`] alive for as long as it wants samples, and dropping
+/// it unregisters the observer (dead entries are pruned on the next
+/// registration). Observers must not allocate if the zero-allocation
+/// classify guarantee matters to the process, and they run on whichever
+/// thread issues the GEMM. To count only one caller's GEMMs, use
+/// [`scope_gemm_observer`] instead.
 pub fn register_gemm_observer(observer: &Arc<GemmObserverFn>) {
-    let mut observers = observer_registry()
+    let mut observers = REGISTRY
+        .get_or_init(|| RwLock::new(Vec::new()))
         .write()
         .expect("gemm observer registry poisoned");
     observers.retain(|w| w.strong_count() > 0);
@@ -241,21 +254,80 @@ pub fn register_gemm_observer(observer: &Arc<GemmObserverFn>) {
     OBSERVERS_ACTIVE.store(true, Ordering::Release);
 }
 
-/// Whether at least one observer registration is live (it may since have
+/// Installs `observer` for the GEMMs the **current thread** issues until
+/// the returned guard drops, when the previously scoped observer (if
+/// any) comes back — so scopes nest. Observers run on the issuing
+/// thread after the GEMM's workers have joined, so a scope sees
+/// exactly its own thread's GEMMs whatever the kernel thread count,
+/// and nothing other threads run. Installing and restoring never
+/// allocate.
+pub fn scope_gemm_observer(observer: &Arc<GemmObserverFn>) -> GemmObserverScope {
+    if !OBSERVERS_ACTIVE.load(Ordering::Relaxed) {
+        OBSERVERS_ACTIVE.store(true, Ordering::Release);
+    }
+    let previous = SCOPED.with(|slot| slot.replace(Some(Arc::clone(observer))));
+    GemmObserverScope {
+        previous,
+        _thread_bound: PhantomData,
+    }
+}
+
+/// The guard [`scope_gemm_observer`] returns; dropping it restores the
+/// thread's previous observer.
+#[must_use = "the observer is unscoped as soon as the guard drops"]
+pub struct GemmObserverScope {
+    previous: Option<Arc<GemmObserverFn>>,
+    // The guard restores a thread-local slot, so it must drop on the
+    // thread that created it.
+    _thread_bound: PhantomData<*const ()>,
+}
+
+impl Drop for GemmObserverScope {
+    fn drop(&mut self) {
+        let previous = self.previous.take();
+        SCOPED.with(|slot| *slot.borrow_mut() = previous);
+    }
+}
+
+/// Whether at least one observer was ever installed (it may since have
 /// been dropped; the observe path tolerates that).
 fn observers_active() -> bool {
     OBSERVERS_ACTIVE.load(Ordering::Acquire)
 }
 
 fn observe(sample: &GemmSample) {
-    let observers = observer_registry()
-        .read()
-        .expect("gemm observer registry poisoned");
+    SCOPED.with(|slot| {
+        if let Some(observer) = slot.borrow().as_ref() {
+            observer(sample);
+        }
+    });
+    let Some(registry) = REGISTRY.get() else {
+        return;
+    };
+    let observers = registry.read().expect("gemm observer registry poisoned");
     for weak in observers.iter() {
         if let Some(observer) = weak.upgrade() {
             observer(sample);
         }
     }
+}
+
+/// Runs one `[m, k] × [k, n]` GEMM body, reporting it to the installed
+/// observers; with none installed it costs one atomic load.
+pub(crate) fn observed(precision: Precision, m: usize, k: usize, n: usize, gemm: impl FnOnce()) {
+    if !observers_active() {
+        gemm();
+        return;
+    }
+    let t0 = Instant::now();
+    gemm();
+    observe(&GemmSample {
+        m,
+        k,
+        n,
+        elapsed_ms: t0.elapsed().as_secs_f64() * 1e3,
+        precision,
+    });
 }
 
 // ---------------------------------------------------------------------
@@ -600,44 +672,26 @@ pub fn gemm_transb_into_with_threads(
 }
 
 /// `[m, k] × [k, n] → [m, n]`, overwriting `out`, using the process-wide
-/// thread setting and reporting to registered observers.
+/// thread setting and reporting to the installed observers.
 ///
 /// # Panics
 ///
 /// Panics if a slice length disagrees with its dimensions.
 pub fn gemm_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    if !observers_active() {
+    observed(Precision::F32, m, k, n, || {
         gemm_into_with_threads(a, b, out, m, k, n, threads());
-        return;
-    }
-    let t0 = Instant::now();
-    gemm_into_with_threads(a, b, out, m, k, n, threads());
-    observe(&GemmSample {
-        m,
-        k,
-        n,
-        elapsed_ms: t0.elapsed().as_secs_f64() * 1e3,
     });
 }
 
 /// `[m, k] × [n, k]ᵀ → [m, n]`, overwriting `out`, using the
-/// process-wide thread setting and reporting to registered observers.
+/// process-wide thread setting and reporting to the installed observers.
 ///
 /// # Panics
 ///
 /// Panics if a slice length disagrees with its dimensions.
 pub fn gemm_transb_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    if !observers_active() {
+    observed(Precision::F32, m, k, n, || {
         gemm_transb_into_with_threads(a, b, out, m, k, n, threads());
-        return;
-    }
-    let t0 = Instant::now();
-    gemm_transb_into_with_threads(a, b, out, m, k, n, threads());
-    observe(&GemmSample {
-        m,
-        k,
-        n,
-        elapsed_ms: t0.elapsed().as_secs_f64() * 1e3,
     });
 }
 
@@ -826,6 +880,39 @@ mod tests {
         let seen = count.load(Ordering::Relaxed);
         gemm_into(&a, &b, &mut out, 3, 4, 5);
         assert_eq!(count.load(Ordering::Relaxed), seen);
+    }
+
+    #[test]
+    fn scoped_observers_nest_and_ignore_other_threads() {
+        use std::sync::atomic::AtomicU64;
+        let counter = || {
+            let count = Arc::new(AtomicU64::new(0));
+            let sink = Arc::clone(&count);
+            let observer: Arc<GemmObserverFn> = Arc::new(move |_: &GemmSample| {
+                sink.fetch_add(1, Ordering::Relaxed);
+            });
+            (count, observer)
+        };
+        let (a, b) = random_case(6, 3, 4, 5, 0.0);
+        let gemm = || gemm_into(&a, &b, &mut [0.0f32; 15], 3, 4, 5);
+        let (outer_count, outer) = counter();
+        let (inner_count, inner) = counter();
+        let outer_scope = scope_gemm_observer(&outer);
+        gemm();
+        {
+            let _inner_scope = scope_gemm_observer(&inner);
+            gemm();
+            gemm();
+            // Another thread's GEMMs reach neither scope.
+            std::thread::scope(|s| {
+                s.spawn(gemm);
+            });
+        }
+        gemm();
+        drop(outer_scope);
+        gemm();
+        assert_eq!(inner_count.load(Ordering::Relaxed), 2);
+        assert_eq!(outer_count.load(Ordering::Relaxed), 2);
     }
 
     #[test]

@@ -182,7 +182,8 @@ impl QTensor {
 /// with `a` stored `[m, k]` and `b` stored `[n, k]` (both row-major, so
 /// every dot product streams two contiguous rows). Accumulation is
 /// integer-exact, so the result is bit-identical across thread counts
-/// and instruction sets.
+/// and instruction sets. Reported to the GEMM observers as an int8
+/// [`kernel::GemmSample`].
 ///
 /// # Panics
 ///
@@ -207,14 +208,16 @@ pub fn qgemm_transb_into(
     assert!(k <= simd::QDOT_MAX_K, "qgemm reduction too deep for i32");
     let isa = kernel::isa();
     let workers = kernel::effective_workers(m, k, n, kernel::threads());
-    kernel::partition_out(out, m, n, workers, |chunk, start| {
-        for (off, o) in chunk.iter_mut().enumerate() {
-            let pos = start + off;
-            let i = pos / n;
-            let j = pos - i * n;
-            let acc = simd::qdot(isa, &a[i * k..(i + 1) * k], &b[j * k..(j + 1) * k]);
-            *o = a_scales[i] * b_scales[j] * acc as f32;
-        }
+    kernel::observed(Precision::Int8, m, k, n, || {
+        kernel::partition_out(out, m, n, workers, |chunk, start| {
+            for (off, o) in chunk.iter_mut().enumerate() {
+                let pos = start + off;
+                let i = pos / n;
+                let j = pos - i * n;
+                let acc = simd::qdot(isa, &a[i * k..(i + 1) * k], &b[j * k..(j + 1) * k]);
+                *o = a_scales[i] * b_scales[j] * acc as f32;
+            }
+        });
     });
 }
 
@@ -341,7 +344,8 @@ pub fn quantize_cols_paired(
 /// horizontal reductions, while the paired panel keeps every instruction
 /// a full-width multiply-accumulate along `n`. Accumulation is
 /// integer-exact, so results are bit-identical across thread counts and
-/// instruction sets.
+/// instruction sets. Reported to the GEMM observers as an int8
+/// [`kernel::GemmSample`].
 ///
 /// # Panics
 ///
@@ -367,26 +371,28 @@ pub fn qgemm_paired_into(
     assert!(k <= simd::QDOT_MAX_K, "qgemm reduction too deep for i32");
     let isa = kernel::isa();
     let workers = kernel::effective_workers(m, k, n, kernel::threads());
-    kernel::partition_out(out, m, n, workers, |chunk, start| {
-        let mut acc: Vec<i32> = Vec::new();
-        let end = start + chunk.len();
-        let mut pos = start;
-        while pos < end {
-            let i = pos / n;
-            let j0 = pos - i * n;
-            let j1 = n.min(j0 + (end - pos));
-            acc.clear();
-            acc.resize(j1 - j0, 0);
-            // One register-blocked sweep over the whole reduction: the
-            // accumulators never round-trip through memory per pair.
-            simd::qgemm_row(isa, &a[i * k..(i + 1) * k], bpanel, n, j0, &mut acc);
-            let sa = a_scales[i];
-            let oseg = &mut chunk[pos - start..pos - start + (j1 - j0)];
-            for ((o, &sb), &v) in oseg.iter_mut().zip(&b_scales[j0..j1]).zip(&acc) {
-                *o = sa * sb * v as f32;
+    kernel::observed(Precision::Int8, m, k, n, || {
+        kernel::partition_out(out, m, n, workers, |chunk, start| {
+            let mut acc: Vec<i32> = Vec::new();
+            let end = start + chunk.len();
+            let mut pos = start;
+            while pos < end {
+                let i = pos / n;
+                let j0 = pos - i * n;
+                let j1 = n.min(j0 + (end - pos));
+                acc.clear();
+                acc.resize(j1 - j0, 0);
+                // One register-blocked sweep over the whole reduction: the
+                // accumulators never round-trip through memory per pair.
+                simd::qgemm_row(isa, &a[i * k..(i + 1) * k], bpanel, n, j0, &mut acc);
+                let sa = a_scales[i];
+                let oseg = &mut chunk[pos - start..pos - start + (j1 - j0)];
+                for ((o, &sb), &v) in oseg.iter_mut().zip(&b_scales[j0..j1]).zip(&acc) {
+                    *o = sa * sb * v as f32;
+                }
+                pos += j1 - j0;
             }
-            pos += j1 - j0;
-        }
+        });
     });
 }
 

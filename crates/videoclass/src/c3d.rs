@@ -61,15 +61,9 @@ impl C3dLite {
 }
 
 impl VideoClassifier for C3dLite {
-    fn forward(&mut self, clips: &Tensor, mode: Mode) -> Tensor {
-        assert_eq!(clips.shape().ndim(), 5, "expected [N, 1, T, H, W]");
-        let _timer = self.telemetry.as_ref().map(ForwardTelemetry::start);
-        self.net.forward(clips, mode)
-    }
-
     fn forward_scratch(&mut self, clips: &Tensor, mode: Mode, scratch: &mut KernelScratch) -> Tensor {
         assert_eq!(clips.shape().ndim(), 5, "expected [N, 1, T, H, W]");
-        let _timer = self.telemetry.as_ref().map(ForwardTelemetry::start);
+        let _span = self.telemetry.as_ref().map(ForwardTelemetry::start);
         self.net.forward_scratch(clips, mode, scratch)
     }
 

@@ -2,30 +2,52 @@
 
 use safecross_nn::{Mode, Param};
 use safecross_telemetry::{Counter, Histogram, Registry, Timer};
+use safecross_tensor::kernel::{self, GemmObserverFn, GemmObserverScope, GemmSample};
 use safecross_tensor::{KernelScratch, Precision, Tensor};
+use std::sync::Arc;
 
 /// Pre-fetched forward-pass telemetry handles shared by the three
 /// architectures. Fetched once at [`VideoClassifier::instrument`] time
 /// so the registry lock never sits on the inference hot path.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub(crate) struct ForwardTelemetry {
     forwards: Counter,
     forward_ms: Histogram,
+    /// Bridges the GEMMs of this model's forwards into `nn.gemm.*`;
+    /// `None` for a disabled registry, so the kernel layer never starts
+    /// reading the clock on its behalf.
+    gemm: Option<Arc<GemmObserverFn>>,
 }
 
 impl ForwardTelemetry {
-    /// Handles under `vc.<family>.forwards` / `vc.<family>.forward_ms`.
+    /// Handles under `vc.<family>.forwards` / `vc.<family>.forward_ms`,
+    /// plus the `nn.gemm.{calls,flops,ms}` bridge.
     pub(crate) fn new(registry: &Registry, family: &str) -> Self {
+        let gemm = registry.is_enabled().then(|| {
+            let calls = registry.counter("nn.gemm.calls");
+            let flops = registry.counter("nn.gemm.flops");
+            let ms = registry.histogram("nn.gemm.ms");
+            let observer: Arc<GemmObserverFn> = Arc::new(move |sample: &GemmSample| {
+                calls.inc();
+                flops.add(sample.flops());
+                ms.observe_ms(sample.elapsed_ms);
+            });
+            observer
+        });
         ForwardTelemetry {
             forwards: registry.counter(&format!("vc.{family}.forwards")),
             forward_ms: registry.histogram(&format!("vc.{family}.forward_ms")),
+            gemm,
         }
     }
 
-    /// Counts one forward pass and returns the scoped timer for it.
-    pub(crate) fn start(&self) -> Timer {
+    /// Counts one forward pass and returns its scoped timer, plus the
+    /// scope that routes the GEMMs this thread issues until it drops —
+    /// exactly this forward's — to the `nn.gemm.*` bridge.
+    pub(crate) fn start(&self) -> (Timer, Option<GemmObserverScope>) {
         self.forwards.inc();
-        self.forward_ms.start_timer()
+        let gemms = self.gemm.as_ref().map(kernel::scope_gemm_observer);
+        (self.forward_ms.start_timer(), gemms)
     }
 }
 
@@ -33,25 +55,29 @@ impl ForwardTelemetry {
 /// logits out.
 ///
 /// Mirrors the [`safecross_nn::Layer`] contract (forward caches, backward
-/// accumulates parameter gradients) at the whole-model level. Models are
-/// `Clone` so the few-shot module can copy them for inner-loop
-/// adaptation.
+/// accumulates parameter gradients) at the whole-model level:
+/// [`VideoClassifier::forward_scratch`] is the one required forward and
+/// [`VideoClassifier::forward`] the allocating convenience around it.
+/// Models are `Clone` so the few-shot module can copy them for
+/// inner-loop adaptation.
 pub trait VideoClassifier: Send + Sync {
-    /// Runs the classifier on a clip batch.
-    fn forward(&mut self, clips: &Tensor, mode: Mode) -> Tensor;
+    /// Runs the classifier on a clip batch, borrowing working buffers
+    /// (and the returned logits' storage) from `scratch` and caching
+    /// backward state when `mode` is `Mode::Train`. Logits never depend
+    /// on what `scratch` held before; in `Mode::Eval` the in-repo models
+    /// allocate nothing once the scratch is warm.
+    fn forward_scratch(&mut self, clips: &Tensor, mode: Mode, scratch: &mut KernelScratch) -> Tensor;
 
-    /// Like [`VideoClassifier::forward`], borrowing working buffers (and
-    /// the returned logits' storage) from `scratch`. Logits are
-    /// bit-identical to `forward`'s; in `Mode::Eval` the in-repo models
-    /// allocate nothing once the scratch is warm. The default falls back
-    /// to the allocating `forward`.
-    fn forward_scratch(&mut self, clips: &Tensor, mode: Mode, scratch: &mut KernelScratch) -> Tensor {
-        let _ = scratch;
-        self.forward(clips, mode)
+    /// The allocating convenience form of
+    /// [`VideoClassifier::forward_scratch`]: runs it against a fresh
+    /// scratch arena and hands the logits back owned.
+    fn forward(&mut self, clips: &Tensor, mode: Mode) -> Tensor {
+        self.forward_scratch(clips, mode, &mut KernelScratch::new())
     }
 
     /// Attaches a telemetry registry: subsequent forward passes record
-    /// wall time and counts under `vc.<family>.*`. Instrumentation never
+    /// wall time and counts under `vc.<family>.*`, and the GEMMs each
+    /// forward issues under `nn.gemm.*`. Instrumentation never
     /// touches the numeric path — logits stay bit-identical. The default
     /// implementation ignores the registry.
     fn instrument(&mut self, _registry: &Registry) {}
@@ -173,32 +199,11 @@ pub trait VideoClassifier: Send + Sync {
 ///
 /// Panics if the input is not 5-D or `stride` does not divide `T`.
 pub fn temporal_subsample(x: &Tensor, stride: usize) -> Tensor {
-    assert_eq!(x.shape().ndim(), 5, "expected [N, C, T, H, W]");
-    assert!(stride > 0, "stride must be positive");
-    let (n, c, t, h, w) = dims5(x);
-    assert_eq!(t % stride, 0, "stride {stride} must divide T={t}");
-    let ot = t / stride;
-    let mut out = Tensor::zeros(&[n, c, ot, h, w]);
-    let hw = h * w;
-    for i in 0..n {
-        for ch in 0..c {
-            for ti in 0..ot {
-                let src = ((i * c + ch) * t + ti * stride) * hw;
-                let dst = ((i * c + ch) * ot + ti) * hw;
-                out.data_mut()[dst..dst + hw].copy_from_slice(&x.data()[src..src + hw]);
-            }
-        }
-    }
-    out
+    temporal_subsample_into(x, stride, &mut KernelScratch::new())
 }
 
-/// [`temporal_subsample`] into a scratch-pooled tensor: identical output,
-/// no allocation once the scratch is warm.
-///
-/// # Panics
-///
-/// Panics if the input is not 5-D or `stride` does not divide `T`.
-pub fn temporal_subsample_scratch(x: &Tensor, stride: usize, scratch: &mut KernelScratch) -> Tensor {
+/// [`temporal_subsample`] into a scratch-pooled tensor.
+pub(crate) fn temporal_subsample_into(x: &Tensor, stride: usize, scratch: &mut KernelScratch) -> Tensor {
     assert_eq!(x.shape().ndim(), 5, "expected [N, C, T, H, W]");
     assert!(stride > 0, "stride must be positive");
     let (n, c, t, h, w) = dims5(x);
@@ -248,35 +253,11 @@ pub fn temporal_upsample_grad(grad: &Tensor, stride: usize, full_t: usize) -> Te
 ///
 /// Panics on non-5-D inputs or mismatched non-channel dimensions.
 pub fn concat_channels(a: &Tensor, b: &Tensor) -> Tensor {
-    assert_eq!(a.shape().ndim(), 5, "expected [N, C, T, H, W]");
-    assert_eq!(b.shape().ndim(), 5, "expected [N, C, T, H, W]");
-    let (n, ca, t, h, w) = dims5(a);
-    let (nb, cb, tb, hb, wb) = dims5(b);
-    assert_eq!((n, t, h, w), (nb, tb, hb, wb), "non-channel dims must match");
-    let mut out = Tensor::zeros(&[n, ca + cb, t, h, w]);
-    let chunk = t * h * w;
-    for i in 0..n {
-        for ch in 0..ca {
-            let src = (i * ca + ch) * chunk;
-            let dst = (i * (ca + cb) + ch) * chunk;
-            out.data_mut()[dst..dst + chunk].copy_from_slice(&a.data()[src..src + chunk]);
-        }
-        for ch in 0..cb {
-            let src = (i * cb + ch) * chunk;
-            let dst = (i * (ca + cb) + ca + ch) * chunk;
-            out.data_mut()[dst..dst + chunk].copy_from_slice(&b.data()[src..src + chunk]);
-        }
-    }
-    out
+    concat_channels_into(a, b, &mut KernelScratch::new())
 }
 
-/// [`concat_channels`] into a scratch-pooled tensor: identical output,
-/// no allocation once the scratch is warm.
-///
-/// # Panics
-///
-/// Panics on non-5-D inputs or mismatched non-channel dimensions.
-pub fn concat_channels_scratch(a: &Tensor, b: &Tensor, scratch: &mut KernelScratch) -> Tensor {
+/// [`concat_channels`] into a scratch-pooled tensor.
+pub(crate) fn concat_channels_into(a: &Tensor, b: &Tensor, scratch: &mut KernelScratch) -> Tensor {
     assert_eq!(a.shape().ndim(), 5, "expected [N, C, T, H, W]");
     assert_eq!(b.shape().ndim(), 5, "expected [N, C, T, H, W]");
     let (n, ca, t, h, w) = dims5(a);
