@@ -20,8 +20,14 @@
 //! printed overhead percentage is the number the <5% instrumentation
 //! budget applies to; it is not written to the JSON.
 //!
+//! The `open_stream` arm prices stream set-up on its own: microseconds
+//! per `FleetServer::open_stream` while opening 1 000 64×48 streams on
+//! one fleet, as median/min/max over repeated fleets, next to the host
+//! fingerprint (parallelism, SIMD ISA). It is written to the JSON's
+//! `open_stream` object.
+//!
 //! Set `SAFECROSS_BENCH_QUICK=1` to run a reduced sweep (CI smoke:
-//! 1 000-stream soak instead of 10 000).
+//! 1 000-stream soak instead of 10 000, fewer `open_stream` fleets).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use safecross::SafeCrossConfig;
@@ -29,7 +35,7 @@ use safecross_serve::{
     paced_feed, BoxedSource, FleetReport, FleetServer, FrameSource, ServeConfig, SourcePoll,
     StreamSpec,
 };
-use safecross_tensor::TensorRng;
+use safecross_tensor::{Isa, TensorRng};
 use safecross_trafficsim::{RenderConfig, Renderer, Scenario, Simulator, Weather};
 use safecross_videoclass::SlowFastLite;
 use safecross_vision::GrayFrame;
@@ -284,6 +290,19 @@ fn soak_streams() -> usize {
     }
 }
 
+/// The 64×48 surveillance-thumbnail session the soak and the
+/// `open_stream` arm both open.
+fn thumbnail_stream() -> SafeCrossConfig {
+    SafeCrossConfig {
+        frame_width: 64,
+        frame_height: 48,
+        segment_frames: 8,
+        scene_window: 4,
+        min_confidence: 0.0,
+        ..SafeCrossConfig::default()
+    }
+}
+
 fn soak_once(shards: usize, streams: usize) -> (FleetReport, f64) {
     const QUEUE: usize = 32;
     let config = ServeConfig::builder()
@@ -291,14 +310,7 @@ fn soak_once(shards: usize, streams: usize) -> (FleetReport, f64) {
         .batch_max(8)
         .queue_capacity(QUEUE)
         .frame_deadline(Some(Duration::from_millis(500)))
-        .stream(SafeCrossConfig {
-            frame_width: 64,
-            frame_height: 48,
-            segment_frames: 8,
-            scene_window: 4,
-            min_confidence: 0.0,
-            ..SafeCrossConfig::default()
-        })
+        .stream(thumbnail_stream())
         .build()
         .expect("valid soak config");
     let models = shared_models();
@@ -312,6 +324,59 @@ fn soak_once(shards: usize, streams: usize) -> (FleetReport, f64) {
     let report = fleet.run(feeds).expect("soak run succeeds");
     let fairness = healthy_shed_excess(&report, QUEUE);
     (report, fairness)
+}
+
+/// Microseconds per `open_stream` over repeated fleets.
+struct OpenStreamRecord {
+    us_per_open: Vec<f64>,
+}
+
+impl OpenStreamRecord {
+    const STREAMS: usize = 1_000;
+
+    /// Opens [`OpenStreamRecord::STREAMS`] 64×48 streams on each of
+    /// several fresh fleets (models registered, untimed) and records the
+    /// mean time per open of each fleet.
+    fn measure(models: &[(Weather, SlowFastLite)]) -> Self {
+        let reps = if quick() { 5 } else { 9 };
+        let config = ServeConfig::builder()
+            .stream(thumbnail_stream())
+            .build()
+            .expect("valid serve config");
+        let us_per_open = (0..reps)
+            .map(|_| {
+                let mut fleet = build_fleet(config, models, 0);
+                let start = Instant::now();
+                for _ in 0..Self::STREAMS {
+                    fleet
+                        .open_stream(StreamSpec::new())
+                        .expect("models are registered");
+                }
+                start.elapsed().as_secs_f64() * 1e6 / Self::STREAMS as f64
+            })
+            .collect();
+        OpenStreamRecord { us_per_open }
+    }
+
+    /// `(median, min, max)` microseconds per open.
+    fn spread(&self) -> (f64, f64, f64) {
+        let mut us = self.us_per_open.clone();
+        us.sort_by(|a, b| a.partial_cmp(b).expect("timings are finite"));
+        (us[us.len() / 2], us[0], us[us.len() - 1])
+    }
+
+    fn json(&self) -> String {
+        let (median, min, max) = self.spread();
+        format!(
+            "{{\"streams\": {}, \"frame\": \"64x48\", \"reps\": {}, \
+             \"us_per_open_median\": {median:.2}, \"us_per_open_min\": {min:.2}, \
+             \"us_per_open_max\": {max:.2}, \"host_parallelism\": {}, \"simd\": \"{}\"}}",
+            Self::STREAMS,
+            self.us_per_open.len(),
+            host_parallelism(),
+            Isa::detect().name(),
+        )
+    }
 }
 
 struct SweepRecord {
@@ -357,7 +422,7 @@ impl SweepRecord {
     }
 }
 
-fn write_bench_json(records: &[SweepRecord]) {
+fn write_bench_json(records: &[SweepRecord], open_stream: &OpenStreamRecord) {
     let cores = host_parallelism();
     let rows: Vec<String> = records.iter().map(SweepRecord::json).collect();
     let json = format!(
@@ -366,12 +431,13 @@ fn write_bench_json(records: &[SweepRecord]) {
          \"note\": \"shard scaling requires host_parallelism > 1; on a single-core \
          host every shards=N row measures the same serial machine and differences \
          are scheduler noise; zipf_soak rows use synthetic frames with shedding on\",\n\
-         \"frames_per_stream\": {},\n\"runs\": [\n{}\n]\n}}\n",
+         \"frames_per_stream\": {},\n\"runs\": [\n{}\n],\n\"open_stream\": {}\n}}\n",
         cores,
         cores > 1,
         quick(),
         frames_per_stream(),
-        rows.join(",\n")
+        rows.join(",\n"),
+        open_stream.json()
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
     match std::fs::write(path, &json) {
@@ -481,7 +547,19 @@ fn serve_scaling(c: &mut Criterion) {
         });
     }
 
-    write_bench_json(&records);
+    let open_stream = OpenStreamRecord::measure(&models);
+    let (open_median, open_min, open_max) = open_stream.spread();
+    println!(
+        "\n=== open_stream ({} x 64x48 streams per fleet, {} fleets, {} host, \
+         host_parallelism={}) ===\nus per open: median {open_median:.2}, \
+         min {open_min:.2}, max {open_max:.2}",
+        OpenStreamRecord::STREAMS,
+        open_stream.us_per_open.len(),
+        Isa::detect().name(),
+        host_parallelism(),
+    );
+
+    write_bench_json(&records, &open_stream);
     telemetry_overhead(c, &models, &clips);
 
     // Shard-scaling sanity check — ONLY meaningful with real cores.

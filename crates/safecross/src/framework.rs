@@ -466,9 +466,8 @@ pub struct SafeCross {
     registry: Registry,
     /// Content-addressed store holding every registered checkpoint's
     /// layer-group blobs. Private to this session unless a serving layer
-    /// shares one handle across sessions
-    /// ([`SafeCross::share_model_store`]), in which case per-weather
-    /// weights are held once for the whole fleet.
+    /// binds every session to one handle ([`SafeCross::bind_store`]), in
+    /// which case per-weather weights are held once for the whole fleet.
     model_store: ModelRegistry,
     scene_stage: SceneStage,
     vp_stage: VpStage,
@@ -514,58 +513,98 @@ impl SafeCross {
     /// output). The first registered model becomes active.
     ///
     /// The checkpoint is stored in the [`ModelRegistry`] as
-    /// content-addressed layer groups, and the session's resident copy
-    /// is resolved back *through the store* — so the weights this
-    /// session classifies with are bit-identical to the stored
-    /// checkpoint, and identical groups across weather checkpoints are
-    /// held once.
+    /// content-addressed layer groups (the one place a standalone
+    /// session hashes weights), the scene is bound to it by name exactly
+    /// as [`SafeCross::bind_store`] binds a fleet session, and the
+    /// session's resident copy is resolved back *through the store* —
+    /// so the weights this session classifies with are bit-identical to
+    /// the stored checkpoint, and identical groups across weather
+    /// checkpoints are held once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the session's store cannot keep the checkpoint it was
+    /// just given: only possible under a memory ceiling on
+    /// [`SafeCross::model_store`] smaller than the checkpoint.
     pub fn register_model(&mut self, weather: Weather, mut model: SlowFastLite) {
-        self.register_scene(weather, &model);
+        self.model_store
+            .register_model(weather.label(), &model.state_groups());
         let state = self
-            .model_store
-            .state_dict(weather.label())
-            .expect("checkpoint was stored by register_scene");
+            .bind_scenes(&[weather])
+            .ok()
+            .and_then(|()| self.model_store.state_dict(weather.label()))
+            .expect("the session store keeps the checkpoint it was just given");
         model.load_state_dict(&state);
         model.instrument(&self.registry);
         self.classify_stage.models.insert(weather, model);
     }
 
-    /// Registers a weather scene for detection and model switching
-    /// *without* storing a local copy of the classifier — `model` is
-    /// only measured to build the switcher's transfer descriptor.
+    /// Binds `scenes`, in order, to the checkpoints `store` holds under
+    /// their weather labels, and makes `store` this session's model
+    /// store — the serving-layer entry point. The first scene becomes
+    /// active.
     ///
-    /// This is the serving-layer entry point: a fleet front keeps one
-    /// shared copy of each scene model and runs classification
-    /// centrally (see `safecross-serve`), while every session still
-    /// owns its scene detector and switcher so its switch log is
-    /// bit-identical to a standalone run that called
-    /// [`SafeCross::register_model`] with the same models. A session
-    /// set up this way never classifies locally:
+    /// Each checkpoint is looked up by name: the switcher takes the
+    /// store's shared transfer descriptor, and the first activation pins
+    /// the store's shared blobs. No weight is read, copied or hashed, so
+    /// binding costs the same however large the models are, and N
+    /// sessions bound to one store hold each checkpoint once.
+    ///
+    /// A fleet front keeps one shared copy of each scene model and runs
+    /// classification centrally (see `safecross-serve`), while every
+    /// session still owns its scene detector and switcher, so its switch
+    /// log is bit-identical to a standalone run that called
+    /// [`SafeCross::register_model`] with the same models in the same
+    /// order. A session set up this way never classifies locally:
     /// [`SafeCross::process_frame`] yields no verdicts; pair
     /// [`SafeCross::prepare_frame`] with external classification and
-    /// [`SafeCross::complete_frame`] instead. Either way the checkpoint
-    /// lands in the [`ModelRegistry`] and the switcher's transfer
-    /// descriptor is derived from its layer-group manifest, so a switch
-    /// moves the checkpoint's real bytes.
-    pub fn register_scene(&mut self, weather: Weather, model: &SlowFastLite) {
-        self.model_store
-            .register_model(weather.label(), &model.state_groups());
-        self.scene_stage
-            .switcher
-            .register_from_store(weather.label(), SCENE_TOTAL_FLOPS)
-            .expect("checkpoint was just stored");
-        if self.scene_stage.registered.is_empty() {
-            self.scene_stage
+    /// [`SafeCross::complete_frame`] instead.
+    ///
+    /// # Errors
+    ///
+    /// [`SwitchError::UnknownModel`] if `store` holds no checkpoint for
+    /// one of `scenes`; [`SwitchError::OutOfMemory`] if the first
+    /// activation failed. Binding stops at the failing scene, so a
+    /// session that returned an error should be discarded.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a scene was already registered: the store must be bound
+    /// before any [`SafeCross::register_model`] call, otherwise earlier
+    /// checkpoints would be stranded in the private store.
+    pub fn bind_store(
+        &mut self,
+        store: &ModelRegistry,
+        scenes: &[Weather],
+    ) -> Result<(), SwitchError> {
+        assert!(
+            self.scene_stage.registered.is_empty(),
+            "bind the model store before registering scene models"
+        );
+        self.model_store = store.clone();
+        self.scene_stage.switcher.attach_store(store);
+        self.bind_scenes(scenes)
+    }
+
+    /// Binds each scene to the checkpoint stored under its weather
+    /// label in this session's store: registers the store's shared
+    /// descriptor with the switcher, activates the first scene ever
+    /// bound, and records the scene and its checkpoint name.
+    fn bind_scenes(&mut self, scenes: &[Weather]) -> Result<(), SwitchError> {
+        let stage = &mut self.scene_stage;
+        for &weather in scenes {
+            stage
                 .switcher
-                .switch_to(weather.label())
-                .expect("first registered model must fit the empty GPU pool");
+                .register_from_store(weather.label(), SCENE_TOTAL_FLOPS)?;
+            if stage.registered.is_empty() {
+                stage.switcher.switch_to(weather.label())?;
+            }
+            if !stage.registered.contains(&weather) {
+                stage.registered.push(weather);
+                stage.names.insert(weather, Arc::from(weather.label()));
+            }
         }
-        if !self.scene_stage.registered.contains(&weather) {
-            self.scene_stage.registered.push(weather);
-            self.scene_stage
-                .names
-                .insert(weather, Arc::from(weather.label()));
-        }
+        Ok(())
     }
 
     /// Rebinds the scene `weather` to the stored checkpoint `name` and
@@ -624,7 +663,7 @@ impl SafeCross {
     }
 
     /// The checkpoint name currently bound to `weather`: the weather
-    /// label after [`SafeCross::register_scene`], or the promoted
+    /// label after registration, or the promoted
     /// challenger after a successful [`SafeCross::bind_scene_model`].
     /// `None` when the scene has no registered model.
     pub fn scene_model_name(&self, weather: Weather) -> Option<Arc<str>> {
@@ -648,26 +687,6 @@ impl SafeCross {
     /// checkpoints next to the scene models.
     pub fn model_store(&self) -> &ModelRegistry {
         &self.model_store
-    }
-
-    /// Replaces this session's private model store with a shared handle
-    /// — the fleet-serving setup, where N sessions register the same
-    /// per-weather checkpoints and each unique layer group must be held
-    /// once, not N times.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a model was already registered: the store must be
-    /// shared before any [`SafeCross::register_model`] /
-    /// [`SafeCross::register_scene`] call, otherwise earlier
-    /// checkpoints would be stranded in the private store.
-    pub fn share_model_store(&mut self, store: &ModelRegistry) {
-        assert!(
-            self.scene_stage.registered.is_empty(),
-            "share the model store before registering scene models"
-        );
-        self.model_store = store.clone();
-        self.scene_stage.switcher.attach_store(&self.model_store);
     }
 
     /// The configuration this system was built with.
@@ -723,7 +742,7 @@ impl SafeCross {
     /// exercising the full rollback path (see [`SwitchFaultHook`]).
     /// Install after registration — the initial activation of the first
     /// registered scene happens inside
-    /// [`SafeCross::register_model`] / [`SafeCross::register_scene`].
+    /// [`SafeCross::register_model`] / [`SafeCross::bind_store`].
     pub fn set_switch_fault_hook(&self, hook: Arc<dyn SwitchFaultHook>) {
         self.scene_stage.switcher.set_fault_hook(hook);
     }

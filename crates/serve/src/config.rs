@@ -1,6 +1,7 @@
 //! Serving-layer configuration.
 
 use safecross::{ConfigError, SafeCrossConfig};
+use safecross_modelswitch::SwitchError;
 use std::fmt;
 use std::time::Duration;
 
@@ -256,6 +257,9 @@ pub enum ServeError {
     ModelAfterStream,
     /// A run was started with no registered models.
     NoModels,
+    /// A new stream could not bind one of the fleet's scene checkpoints
+    /// (e.g. it was removed from the fleet's model store).
+    Model(SwitchError),
     /// A run was started with no streams, or with a feed count that
     /// does not match the stream count.
     FeedMismatch {
@@ -293,6 +297,7 @@ impl fmt::Display for ServeError {
                  see the same scene set"
             ),
             ServeError::NoModels => write!(f, "register at least one model before running"),
+            ServeError::Model(e) => write!(f, "stream could not bind a scene checkpoint: {e}"),
             ServeError::FeedMismatch { feeds, streams } => {
                 write!(f, "got {feeds} feeds for {streams} streams")
             }
@@ -304,6 +309,7 @@ impl std::error::Error for ServeError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ServeError::Stream(e) => Some(e),
+            ServeError::Model(e) => Some(e),
             _ => None,
         }
     }

@@ -372,6 +372,10 @@ impl FleetServer {
     /// Registers the shared classifier for one weather scene. All
     /// models must be registered before the first stream is opened.
     ///
+    /// This is the only place base scene weights enter the fleet store:
+    /// the checkpoint is hashed and stored once here, pinned, and every
+    /// stream opened later binds to it by name.
+    ///
     /// # Errors
     ///
     /// [`ServeError::ModelAfterStream`] once a stream exists.
@@ -409,6 +413,11 @@ impl FleetServer {
     /// entry point to everything per-stream (identity, configuration,
     /// stats, verdicts, the underlying session).
     ///
+    /// The new session looks up each registered scene's checkpoint in
+    /// the fleet store by name ([`SafeCross::bind_store`]); it reads,
+    /// copies and hashes no weight, so opening a stream costs the same
+    /// however large the models are.
+    ///
     /// ```no_run
     /// # use safecross_serve::{FleetServer, ServeConfig, StreamSpec};
     /// # let mut fleet = FleetServer::new(ServeConfig::default()).unwrap();
@@ -420,9 +429,11 @@ impl FleetServer {
     ///
     /// # Errors
     ///
-    /// [`ServeError::NoModels`] before any model is registered, or
+    /// [`ServeError::NoModels`] before any model is registered,
     /// [`ServeError::Stream`] when the spec's session configuration
-    /// fails validation.
+    /// fails validation, or [`ServeError::Model`] when the session
+    /// cannot bind a registered scene — e.g. its checkpoint was removed
+    /// from [`FleetServer::model_store`].
     pub fn open_stream(&mut self, spec: StreamSpec) -> Result<StreamHandle, ServeError> {
         let config = spec.config.unwrap_or(self.config.stream);
         let precision = spec.precision;
@@ -444,13 +455,12 @@ impl FleetServer {
             return Err(ServeError::NoModels);
         }
         let mut inner = SafeCross::try_new(config).map_err(ServeError::Stream)?;
-        // Every stream shares the fleet's checkpoint store: scene
-        // registration below re-registers the same named checkpoints
-        // (idempotent), so per-weather weights are held once fleet-wide.
-        inner.share_model_store(&self.model_store);
-        for weather in &self.model_order {
-            inner.register_scene(*weather, &self.models[weather]);
-        }
+        // Every stream binds to the fleet's stored checkpoints by name,
+        // so per-weather weights are held once fleet-wide and opening a
+        // stream touches no weight.
+        inner
+            .bind_store(&self.model_store, &self.model_order)
+            .map_err(ServeError::Model)?;
         let id = StreamId(self.sessions.len());
         let metrics = StreamMetrics::new(&self.registry, id.0);
         self.sessions
